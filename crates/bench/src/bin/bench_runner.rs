@@ -3,8 +3,6 @@
 //! ```text
 //! bench_runner [--insts N] [--warmup N] [--window NAME] [--out FILE]
 //!              [--check FILE] [--tolerance PCT] [--repeat N]
-//!              [--cells warm|shared|cold] [--warmup-mode full|fast]
-//!              [--sweep-mode full|sampled]
 //!   --insts       measured instructions per cell (default 1 000 000 —
 //!                 the fig15 window)
 //!   --warmup      warm-up instructions (default 1 100 000)
@@ -17,36 +15,24 @@
 //!   --tolerance   allowed slowdown for --check, percent (default 20)
 //!   --repeat      run the window N times, record the median-geomean run
 //!                 (default 1; container clocks are ±20–30% noisy)
-//!   --cells       `warm` (default) builds one scheme-independent warm-up
-//!                 checkpoint per workload outside the cell wall clocks
-//!                 and runs all four schemes from it — the
-//!                 `run_matrix_stored` figure pipeline, recorded from
-//!                 BENCH_9 on; `shared` simulates the warm-up inside each
-//!                 cell but shares it across a scheme's internal passes
-//!                 (the PR 8 measurement); `cold` re-warms every pass
-//!                 (the pre-PR-8 measurement)
-//!   --warmup-mode `full` (default) or `fast` fast-forwarded warm-up
-//!                 (DESIGN.md §7; figures from fast runs diverge)
-//!   --sweep-mode  `full` (default) or `sampled` RPG2 distance sweep
-//!                 (DESIGN.md §7; sampled ranks candidates on a quarter
-//!                 window and validates the winner in full)
 //! ```
 //!
 //! Cells run *sequentially on one core* (unlike the figure binaries) so
-//! the insts/sec numbers are comparable across PRs. Throughput is
-//! host-dependent: --check is only meaningful against a baseline from
-//! the same runner class.
+//! the insts/sec numbers are comparable across PRs. Every cell is a warm
+//! cell: one scheme-independent warm-up checkpoint per workload is built
+//! outside the cell wall clocks and all four schemes run from it — the
+//! `run_matrix_stored` figure pipeline, recorded from BENCH_9 on.
+//! Throughput is host-dependent: --check is only meaningful against a
+//! baseline from the same runner class.
 
 use prophet_bench::metrics::{check_regression, BenchReport};
-use prophet_bench::runner::{format_window_table, run_bench_window_median, CellMode};
-use prophet_bench::{report_fast_path_activity, Harness, SweepMode, WarmupMode};
+use prophet_bench::runner::{format_window_table, run_bench_window_median};
+use prophet_bench::{report_fast_path_activity, Harness};
 use prophet_sim_core::TraceSource;
 use prophet_workloads::{workload_sized, CRONO_WORKLOADS};
 
 const USAGE: &str = "usage: bench_runner [--insts N] [--warmup N] [--window NAME] \
-                     [--out FILE] [--check FILE] [--tolerance PCT] [--repeat N] \
-                     [--cells warm|shared|cold] [--warmup-mode full|fast] \
-                     [--sweep-mode full|sampled]";
+                     [--out FILE] [--check FILE] [--tolerance PCT] [--repeat N]";
 
 struct Args {
     insts: Option<u64>,
@@ -56,9 +42,6 @@ struct Args {
     check: Option<String>,
     tolerance: f64,
     repeat: usize,
-    cells: CellMode,
-    warmup_mode: WarmupMode,
-    sweep_mode: SweepMode,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -70,9 +53,6 @@ fn parse_args() -> Result<Args, String> {
         check: None,
         tolerance: 20.0,
         repeat: 1,
-        cells: CellMode::Warm,
-        warmup_mode: WarmupMode::Full,
-        sweep_mode: SweepMode::Full,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -110,9 +90,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--repeat: must be at least 1".into());
                 }
             }
-            "--cells" => out.cells = CellMode::parse(&value("--cells")?)?,
-            "--warmup-mode" => out.warmup_mode = WarmupMode::parse(&value("--warmup-mode")?)?,
-            "--sweep-mode" => out.sweep_mode = SweepMode::parse(&value("--sweep-mode")?)?,
             f => return Err(format!("unknown argument: {f}")),
         }
     }
@@ -130,8 +107,6 @@ fn main() {
     let h = Harness {
         warmup: args.warmup.unwrap_or(1_100_000),
         measure: args.insts.unwrap_or(1_000_000),
-        warmup_mode: args.warmup_mode,
-        sweep_mode: args.sweep_mode,
         ..Harness::default()
     };
     let workloads: Vec<Box<dyn TraceSource + Send + Sync>> = CRONO_WORKLOADS
@@ -139,7 +114,7 @@ fn main() {
         .map(|name| workload_sized(name, h.warmup + h.measure))
         .collect();
 
-    let window = run_bench_window_median(&h, &args.window, &workloads, args.cells, args.repeat);
+    let window = run_bench_window_median(&h, &args.window, &workloads, args.repeat);
     print!("{}", format_window_table(&window));
     report_fast_path_activity();
 

@@ -12,10 +12,9 @@ use prophet::{
     RunLengths, SimplifiedTp,
 };
 use prophet_prefetch::{IpcpPrefetcher, L1Prefetcher, NoL2Prefetch, StridePrefetcher};
-pub use prophet_rpg2::SweepMode;
 use prophet_rpg2::{Rpg2Pipeline, Rpg2Result};
 use prophet_sim_core::{
-    simulate, Engine, EngineSnapshot, MemBackend, SimReport, TraceInst, TraceSource, WarmStart,
+    simulate, Engine, MemBackend, SimReport, TraceInst, TraceSource, WarmStart,
 };
 use prophet_sim_mem::addr::{Addr, Cycle, Pc};
 use prophet_sim_mem::{Hierarchy, SystemConfig};
@@ -55,35 +54,6 @@ impl L1Scheme {
     }
 }
 
-/// How the scheme-independent warm-up is simulated (DESIGN.md §7).
-///
-/// `Full` drives the warm-up through the cycle-accurate engine and timing
-/// hierarchy — the default, and what every committed figure uses. `Fast`
-/// fast-forwards it: cache, replacement, and temporal-metadata state are
-/// driven functionally (one synthetic cycle per instruction) while the
-/// cycle-accurate engine and DRAM/MSHR timing are skipped. Fast checkpoints
-/// start the measurement from an idle engine, so measured figures diverge
-/// (bounded by the `warmup_mode` equivalence suite) — the mode is opt-in
-/// (`--warmup-mode fast`) and its store artifacts carry a `+wm=fast` spec
-/// tag so the two modes never share checkpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WarmupMode {
-    #[default]
-    Full,
-    Fast,
-}
-
-impl WarmupMode {
-    /// Parses the `--warmup-mode` flag value.
-    pub fn parse(s: &str) -> Result<WarmupMode, String> {
-        match s {
-            "full" => Ok(WarmupMode::Full),
-            "fast" => Ok(WarmupMode::Fast),
-            other => Err(format!("--warmup-mode: expected full|fast, got {other}")),
-        }
-    }
-}
-
 /// Shared experiment runner: system config + run lengths + L1 scheme.
 #[derive(Debug, Clone)]
 pub struct Harness {
@@ -91,12 +61,6 @@ pub struct Harness {
     pub warmup: u64,
     pub measure: u64,
     pub l1: L1Scheme,
-    pub warmup_mode: WarmupMode,
-    /// How RPG2's distance sweep evaluates candidates (`--sweep-mode`;
-    /// `full` is the default and what every committed figure uses —
-    /// `sampled` applies to the window-replaying rpg2 pipelines, see
-    /// [`SweepMode`]).
-    pub sweep_mode: SweepMode,
 }
 
 impl Default for Harness {
@@ -106,8 +70,6 @@ impl Default for Harness {
             warmup: 200_000,
             measure: 650_000,
             l1: L1Scheme::Stride,
-            warmup_mode: WarmupMode::Full,
-            sweep_mode: SweepMode::Full,
         }
     }
 }
@@ -263,18 +225,12 @@ impl Harness {
     /// longer window can change a CRONO graph, not just its length — and
     /// the L1 scheme).
     fn workload_spec(&self, w: &dyn TraceSource) -> String {
-        let mut spec = format!(
+        format!(
             "{}@{}+l1={}",
             w.name(),
             self.warmup + self.measure,
             self.l1.tag()
-        );
-        // Fast-forwarded checkpoints are not interchangeable with full
-        // ones; tag the spec so the two modes never alias in the store.
-        if self.warmup_mode == WarmupMode::Fast {
-            spec.push_str("+wm=fast");
-        }
-        spec
+        )
     }
 
     /// Store key of this harness's warm-up checkpoint for `w`. Checkpoints
@@ -303,17 +259,10 @@ impl Harness {
 
     /// Simulates the scheme-independent warm-up of `w` and captures it as
     /// a checkpoint: machine state ([`WarmStart`]) plus the passively
-    /// trained temporal state. Dispatches on [`Harness::warmup_mode`].
+    /// trained temporal state. The warm-up is cycle-accurate (engine +
+    /// timing hierarchy): exactly the state a measurement phase would have
+    /// seen mid-run.
     pub fn build_checkpoint(&self, w: &dyn TraceSource) -> WarmupCheckpoint {
-        match self.warmup_mode {
-            WarmupMode::Full => self.build_checkpoint_full(w),
-            WarmupMode::Fast => self.build_checkpoint_fast(w),
-        }
-    }
-
-    /// The cycle-accurate warm-up: engine + timing hierarchy, exactly the
-    /// state a measurement phase would have seen mid-run.
-    fn build_checkpoint_full(&self, w: &dyn TraceSource) -> WarmupCheckpoint {
         let mut engine = Engine::new(self.sys.core);
         let mut machine = WarmupMachine {
             mem: Hierarchy::new(&self.sys),
@@ -332,52 +281,6 @@ impl Harness {
         WarmupCheckpoint {
             warm: WarmStart {
                 engine: engine.snapshot(),
-                memory: machine.mem.snapshot(),
-                warmup: self.warmup,
-            },
-            temporal: machine.observer.warmup_snapshot(),
-        }
-    }
-
-    /// The fast-forwarded warm-up: the demand/prefetch stream drives cache,
-    /// replacement, and temporal-observer state functionally through
-    /// [`Hierarchy::warm_access`] under a synthetic one-cycle-per-
-    /// instruction clock, skipping the ROB model and the DRAM/MSHR timing
-    /// path. The checkpoint's engine is an idle ROB at the synthetic clock
-    /// ([`EngineSnapshot::idle_at`]); DESIGN.md §7 lists the accepted
-    /// divergences and the equivalence suite pins their magnitude.
-    fn build_checkpoint_fast(&self, w: &dyn TraceSource) -> WarmupCheckpoint {
-        let mut machine = WarmupMachine {
-            mem: Hierarchy::new(&self.sys),
-            l1pf: self.l1.build(),
-            observer: TemporalEngine::new(TemporalConfig::simplified_profiling()),
-        };
-        let mut cursor = w.cursor();
-        let mut fed = 0u64;
-        while fed < self.warmup {
-            let Some(inst) = cursor.next_inst() else {
-                break;
-            };
-            if let Some(op) = inst.op {
-                let addr = op.addr();
-                let (l1_hit, ev) =
-                    machine
-                        .mem
-                        .warm_access(inst.pc, addr.line(), op.is_store(), fed);
-                if let Some(ev) = ev {
-                    machine.observe(&ev);
-                }
-                for target in machine.l1pf.on_l1_access(inst.pc, addr, l1_hit) {
-                    if let Some(ev) = machine.mem.warm_l1_prefetch(inst.pc, target.line(), fed) {
-                        machine.observe(&ev);
-                    }
-                }
-            }
-            fed += 1;
-        }
-        WarmupCheckpoint {
-            warm: WarmStart {
-                engine: EngineSnapshot::idle_at(&self.sys.core, fed, fed),
                 memory: machine.mem.snapshot(),
                 warmup: self.warmup,
             },
@@ -466,27 +369,17 @@ impl Harness {
             .simulate_window(&self.sys, name, window, self.l1.build(), Box::new(tp))
     }
 
-    /// Triage-degree-4 measurement from a shared warm-up checkpoint.
-    pub fn triage4_warm(&self, w: &dyn TraceSource, ckpt: &WarmupCheckpoint) -> SimReport {
-        let mut tp = Triage::degree4();
-        tp.seed_warmup(&ckpt.temporal);
-        ckpt.warm
-            .simulate(&self.sys, w, self.l1.build(), Box::new(tp), self.measure)
-    }
-
     /// RPG2's identify → instrument → tune pipeline from a shared warm-up
     /// checkpoint (every internal pass warm-starts).
     pub fn rpg2_warm(&self, w: &dyn TraceSource, ckpt: &WarmupCheckpoint) -> Rpg2Result {
-        Rpg2Pipeline::new(self.sys.clone(), self.warmup, self.measure)
-            .with_sweep_mode(self.sweep_mode)
-            .run_warm(w, &ckpt.warm)
+        Rpg2Pipeline::new(self.sys.clone(), self.warmup, self.measure).run_warm(w, &ckpt.warm)
     }
 
     /// Materializes the measurement window of `w` once: skip `skip`
     /// instructions, then collect up to `self.measure`. Multi-pass
     /// pipelines replay the buffer instead of regenerating the trace per
     /// pass (`WarmStart::simulate_window` pins the replay bit-identical to
-    /// the cursor path). Public so the bench runner's warm cell mode can
+    /// the cursor path). Public so the bench runner's warm cells can
     /// hoist this scheme-independent work out of the cell wall clocks.
     pub fn materialize_window(&self, w: &dyn TraceSource, skip: u64) -> Vec<TraceInst> {
         let mut cursor = w.cursor();
@@ -547,28 +440,13 @@ impl Harness {
             .simulate_window(&self.sys, name, window, self.l1.build(), Box::new(prophet))
     }
 
-    /// Full Prophet from a shared warm-up checkpoint: the profiling pass
-    /// runs the simplified prefetcher seeded with the checkpoint's temporal
-    /// state, analysis derives the hints, and the optimized pass runs
-    /// Prophet seeded the same way. Mirrors [`Harness::prophet`], minus the
-    /// per-phase warm-up re-simulation; both passes replay one materialized
-    /// window. Returns `(report, counters)` so a caller with a store can
-    /// persist the profile artifact.
-    pub fn prophet_warm_with_profile(
-        &self,
-        w: &dyn TraceSource,
-        ckpt: &WarmupCheckpoint,
-    ) -> (SimReport, ProfileCounters) {
-        let window = self.materialize_window(w, ckpt.warm.warmup);
-        let counters = self.prophet_profile_pass(&w.name(), ckpt, &window);
-        let report = self.prophet_optimized_pass(&w.name(), ckpt, &window, counters.clone());
-        (report, counters)
-    }
-
-    /// [`Harness::prophet_warm`] over a pre-materialized window: both
-    /// passes replay `window` directly, so a caller that already holds the
-    /// materialized trace (the bench runner's warm cells) skips the
-    /// per-cell cursor regeneration.
+    /// Full Prophet from a shared warm-up checkpoint over a
+    /// pre-materialized window: the profiling pass runs the simplified
+    /// prefetcher seeded with the checkpoint's temporal state, analysis
+    /// derives the hints, and the optimized pass runs Prophet seeded the
+    /// same way. Mirrors [`Harness::prophet`], minus the per-phase warm-up
+    /// re-simulation; both passes replay `window` (the bench runner's warm
+    /// cells hold it already).
     pub fn prophet_warm_window(
         &self,
         name: &str,
@@ -579,12 +457,7 @@ impl Harness {
         self.prophet_optimized_pass(name, ckpt, window, counters)
     }
 
-    /// [`Harness::prophet_warm_with_profile`], report only.
-    pub fn prophet_warm(&self, w: &dyn TraceSource, ckpt: &WarmupCheckpoint) -> SimReport {
-        self.prophet_warm_with_profile(w, ckpt).0
-    }
-
-    /// [`Harness::prophet_warm`] with store-backed profile reuse: the
+    /// [`Harness::prophet_warm_window`] with store-backed profile reuse: the
     /// learned counters are loaded from the store when present, otherwise
     /// computed by the profiling pass and saved. Freshly computed counters
     /// round-trip through the codec before use — exactly like
@@ -624,29 +497,6 @@ impl Harness {
             }
         };
         self.prophet_optimized_pass(&w.name(), ckpt, &window, counters)
-    }
-
-    /// RPG2 over a shared (in-memory) warm-up: one warm-up feeds the
-    /// identification baseline and the whole distance sweep. In `Fast`
-    /// warm-up mode the shared warm-up itself is fast-forwarded.
-    pub fn rpg2_shared(&self, w: &dyn TraceSource) -> Rpg2Result {
-        match self.warmup_mode {
-            WarmupMode::Full => Rpg2Pipeline::new(self.sys.clone(), self.warmup, self.measure)
-                .with_sweep_mode(self.sweep_mode)
-                .run_shared(w),
-            WarmupMode::Fast => {
-                let ckpt = self.build_checkpoint(w);
-                self.rpg2_warm(w, &ckpt)
-            }
-        }
-    }
-
-    /// Prophet over a shared (in-memory) warm-up: one warm-up (full or
-    /// fast per [`Harness::warmup_mode`]) feeds both the profiling and the
-    /// optimized pass, which replay one materialized window.
-    pub fn prophet_shared(&self, w: &dyn TraceSource) -> SimReport {
-        let ckpt = self.build_checkpoint(w);
-        self.prophet_warm(w, &ckpt)
     }
 }
 
@@ -862,12 +712,6 @@ pub struct RunArgs {
     /// floors every graph at N vertices so the paper-scale 1 M+ runs
     /// don't disturb the default workload registry.
     pub vertices: Option<usize>,
-    /// `--warmup-mode full|fast` (DESIGN.md §7; `full` is the default and
-    /// what every committed figure uses).
-    pub warmup_mode: WarmupMode,
-    /// `--sweep-mode full|sampled` for RPG2's distance sweep (DESIGN.md
-    /// §7; `full` is the default and what every committed figure uses).
-    pub sweep_mode: SweepMode,
     pub rest: Vec<String>,
 }
 
@@ -881,8 +725,6 @@ impl RunArgs {
             jobs: 0,
             store: None,
             vertices: None,
-            warmup_mode: WarmupMode::Full,
-            sweep_mode: SweepMode::Full,
             rest: Vec::new(),
         };
         let mut args = args.peekable();
@@ -898,14 +740,6 @@ impl RunArgs {
                 "--vertices" => out.vertices = Some(take("--vertices")? as usize),
                 "--store" => {
                     out.store = Some(args.next().ok_or("--store needs a directory")?);
-                }
-                "--warmup-mode" => {
-                    let v = args.next().ok_or("--warmup-mode needs a value")?;
-                    out.warmup_mode = WarmupMode::parse(&v)?;
-                }
-                "--sweep-mode" => {
-                    let v = args.next().ok_or("--sweep-mode needs a value")?;
-                    out.sweep_mode = SweepMode::parse(&v)?;
                 }
                 f if f.starts_with("--") => return Err(format!("unknown flag: {f}")),
                 _ => out.rest.push(a),
@@ -951,8 +785,6 @@ impl RunArgs {
         Harness {
             warmup: self.warmup.unwrap_or(default.warmup),
             measure: self.insts.unwrap_or(default.measure),
-            warmup_mode: self.warmup_mode,
-            sweep_mode: self.sweep_mode,
             ..default
         }
     }
@@ -974,21 +806,17 @@ pub fn report_store_activity(store: &ArtifactStore) {
     report_fast_path_activity();
 }
 
-/// Prints the issue-path and sampled-sweep fast-path engagement to
-/// **stderr** (same rule as [`report_store_activity`]: stdout carries
-/// only figure tables). Cumulative process-wide counters — a zero dedup
-/// count after a measured run means the fast path never engaged, which is
-/// itself worth seeing in the logs.
+/// Prints the issue-path fast-path engagement to **stderr** (same rule as
+/// [`report_store_activity`]: stdout carries only figure tables).
+/// Cumulative process-wide counters — a zero dedup count after a measured
+/// run means the fast path never engaged, which is itself worth seeing in
+/// the logs.
 pub fn report_fast_path_activity() {
     let issue = prophet_sim_core::issue_path_stats();
-    let sweep = prophet_rpg2::sweep_stats();
     eprintln!(
         "fast paths: {} duplicate prefetch(es) dedup-filtered, {} inflight drop(s) \
-         short-circuited; sampled sweeps: {} accepted, {} fell back",
-        issue.filter_suppressed,
-        issue.inflight_fast_drops,
-        sweep.sampled_accepts,
-        sweep.sampled_fallbacks
+         short-circuited",
+        issue.filter_suppressed, issue.inflight_fast_drops
     );
 }
 

@@ -12,9 +12,9 @@
 //! cells — present in every schema-1 file too, so old baselines still
 //! check — and fails when any scheme regresses beyond tolerance, even if
 //! the overall geomean passes), and windows are recorded with warm cells
-//! (`--cells warm`: the per-workload warm-up checkpoint is built outside
-//! the cell wall clocks, so cells time the measured passes only; see
-//! `runner::CellMode`).
+//! (the per-workload warm-up checkpoint is built outside the cell wall
+//! clocks, so cells time the measured passes only; see
+//! `runner::run_bench_window`).
 //!
 //! ```json
 //! {

@@ -15,91 +15,33 @@ use std::time::Instant;
 /// figure matrix (`Harness::run_matrix`).
 pub const BENCH_SCHEMES: [&str; 4] = ["baseline", "rpg2", "triangel", "prophet"];
 
-/// How a bench cell obtains its warmed-up machine state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CellMode {
-    /// One scheme-independent warm-up checkpoint per workload, built
-    /// *outside* the cell wall clocks and shared by all four schemes —
-    /// the `run_matrix_stored` figure pipeline, and what `BENCH_9.json`
-    /// onward records. Cells time the measured passes only; the reports
-    /// they produce are bit-identical to the cold path (pinned by the
-    /// warm-start golden test).
-    #[default]
-    Warm,
-    /// Each cell self-contained, but multi-pass schemes (RPG2's identify
-    /// + distance sweep, Prophet's profile + optimized passes) launch
-    /// their internal passes from one warm-up simulated inside the cell —
-    /// the PR 8 pipeline (`BENCH_8.json`).
-    Shared,
-    /// Each cell re-warms every internal pass — the pre-PR-8 measurement,
-    /// kept as the attribution control.
-    Cold,
-}
-
-impl CellMode {
-    /// Parses a `--cells` value.
-    pub fn parse(v: &str) -> Result<Self, String> {
-        match v {
-            "warm" => Ok(CellMode::Warm),
-            "shared" => Ok(CellMode::Shared),
-            "cold" => Ok(CellMode::Cold),
-            v => Err(format!("--cells: expected warm|shared|cold, got {v}")),
-        }
-    }
-}
-
-/// Runs one scheme on one workload, returning the cell wall time. `warm`
-/// (the shared checkpoint plus the materialized measurement window) is
-/// present exactly in [`CellMode::Warm`]. RPG2 takes the trace, not the
-/// window: its kernel scan walks the warm-up prefix too, and that
-/// identification work is the scheme's own — it stays on the clock.
+/// Runs one scheme on one workload from the workload's shared warm-up
+/// checkpoint and materialized measurement window, returning the cell
+/// wall time. RPG2 takes the trace, not the window: its kernel scan walks
+/// the warm-up prefix too, and that identification work is the scheme's
+/// own — it stays on the clock.
 fn time_cell(
     h: &Harness,
     scheme: &str,
     w: &dyn TraceSource,
-    mode: CellMode,
-    warm: Option<(&WarmupCheckpoint, &[TraceInst])>,
+    ckpt: &WarmupCheckpoint,
+    window: &[TraceInst],
 ) -> f64 {
     let start = Instant::now();
-    if let Some((ckpt, window)) = warm {
-        match scheme {
-            "baseline" => {
-                h.baseline_warm_window(&w.name(), window, ckpt);
-            }
-            "rpg2" => {
-                h.rpg2_warm(w, ckpt);
-            }
-            "triangel" => {
-                h.triangel_warm_window(&w.name(), window, ckpt);
-            }
-            "prophet" => {
-                h.prophet_warm_window(&w.name(), window, ckpt);
-            }
-            other => panic!("unknown bench scheme: {other}"),
+    match scheme {
+        "baseline" => {
+            h.baseline_warm_window(&w.name(), window, ckpt);
         }
-        return start.elapsed().as_secs_f64();
-    }
-    let shared = mode == CellMode::Shared;
-    match (scheme, shared) {
-        ("baseline", _) => {
-            h.baseline(w);
+        "rpg2" => {
+            h.rpg2_warm(w, ckpt);
         }
-        ("rpg2", false) => {
-            h.rpg2(w);
+        "triangel" => {
+            h.triangel_warm_window(&w.name(), window, ckpt);
         }
-        ("rpg2", true) => {
-            h.rpg2_shared(w);
+        "prophet" => {
+            h.prophet_warm_window(&w.name(), window, ckpt);
         }
-        ("triangel", _) => {
-            h.triangel(w);
-        }
-        ("prophet", false) => {
-            h.prophet(w);
-        }
-        ("prophet", true) => {
-            h.prophet_shared(w);
-        }
-        (other, _) => panic!("unknown bench scheme: {other}"),
+        other => panic!("unknown bench scheme: {other}"),
     }
     start.elapsed().as_secs_f64()
 }
@@ -107,34 +49,29 @@ fn time_cell(
 /// Measures every scheme×workload cell sequentially and returns the
 /// window. `insts` per cell is the figure window (`warmup + measure`);
 /// multi-pass schemes carry their pipeline passes in the wall clock (see
-/// the schema notes in `metrics`). In [`CellMode::Warm`] the per-workload
-/// checkpoint build runs between cells, outside every wall clock, and is
-/// reported on stderr.
+/// the schema notes in `metrics`). One scheme-independent warm-up
+/// checkpoint per workload is shared by all four schemes — the
+/// `run_matrix_stored` figure pipeline, and what `BENCH_9.json` onward
+/// records. Its build runs between cells, outside every wall clock, and is
+/// reported on stderr; the cells time the measured passes only.
 pub fn run_bench_window(
     h: &Harness,
     name: &str,
     workloads: &[Box<dyn TraceSource + Send + Sync>],
-    mode: CellMode,
 ) -> BenchWindow {
     let insts = h.warmup + h.measure;
     let mut cells = Vec::with_capacity(workloads.len() * BENCH_SCHEMES.len());
     for w in workloads {
-        let warm = if mode == CellMode::Warm {
-            let start = Instant::now();
-            let ckpt = h.build_checkpoint(w.as_ref());
-            let window = h.materialize_window(w.as_ref(), ckpt.warm.warmup);
-            eprintln!(
-                "bench: warm-up    {:<18} {:>9.3}s  (checkpoint + window, outside cells)",
-                w.name(),
-                start.elapsed().as_secs_f64()
-            );
-            Some((ckpt, window))
-        } else {
-            None
-        };
+        let start = Instant::now();
+        let ckpt = h.build_checkpoint(w.as_ref());
+        let window = h.materialize_window(w.as_ref(), ckpt.warm.warmup);
+        eprintln!(
+            "bench: warm-up    {:<18} {:>9.3}s  (checkpoint + window, outside cells)",
+            w.name(),
+            start.elapsed().as_secs_f64()
+        );
         for scheme in BENCH_SCHEMES {
-            let warm_refs = warm.as_ref().map(|(c, win)| (c, win.as_slice()));
-            let wall_secs = time_cell(h, scheme, w.as_ref(), mode, warm_refs);
+            let wall_secs = time_cell(h, scheme, w.as_ref(), &ckpt, &window);
             let insts_per_sec = if wall_secs > 0.0 {
                 insts as f64 / wall_secs
             } else {
@@ -174,7 +111,6 @@ pub fn run_bench_window_median(
     h: &Harness,
     name: &str,
     workloads: &[Box<dyn TraceSource + Send + Sync>],
-    mode: CellMode,
     repeat: usize,
 ) -> BenchWindow {
     let repeat = repeat.max(1);
@@ -183,7 +119,7 @@ pub fn run_bench_window_median(
             if repeat > 1 {
                 eprintln!("bench: repeat {}/{repeat}", i + 1);
             }
-            run_bench_window(h, name, workloads, mode)
+            run_bench_window(h, name, workloads)
         })
         .collect();
     runs.sort_by(|a, b| {
@@ -256,7 +192,7 @@ mod tests {
         };
         let workloads: Vec<Box<dyn TraceSource + Send + Sync>> =
             vec![workload_sized("bfs_80000_8", h.warmup + h.measure)];
-        let w = run_bench_window(&h, "test", &workloads, CellMode::Cold);
+        let w = run_bench_window(&h, "test", &workloads);
         assert_eq!(w.cells.len(), BENCH_SCHEMES.len());
         assert!(w.cells.iter().all(|c| c.insts == 4_000));
         assert!(w.cells.iter().all(|c| c.insts_per_sec > 0.0));
@@ -266,40 +202,40 @@ mod tests {
     }
 
     #[test]
-    fn shared_cells_and_median_repeat_produce_a_window() {
-        let h = Harness {
-            warmup: 2_000,
-            measure: 2_000,
-            ..Harness::default()
-        };
-        let workloads: Vec<Box<dyn TraceSource + Send + Sync>> =
-            vec![workload_sized("bfs_80000_8", h.warmup + h.measure)];
-        let w = run_bench_window_median(&h, "test", &workloads, CellMode::Shared, 3);
-        assert_eq!(w.cells.len(), BENCH_SCHEMES.len());
-        assert!(w.cells.iter().all(|c| c.insts_per_sec > 0.0));
-    }
-
-    #[test]
     fn warm_cells_share_one_checkpoint_per_workload() {
         let h = Harness {
             warmup: 2_000,
             measure: 2_000,
             ..Harness::default()
         };
-        let workloads: Vec<Box<dyn TraceSource + Send + Sync>> =
-            vec![workload_sized("bfs_80000_8", h.warmup + h.measure)];
-        let w = run_bench_window(&h, "test", &workloads, CellMode::Warm);
-        assert_eq!(w.cells.len(), BENCH_SCHEMES.len());
+        let workloads: Vec<Box<dyn TraceSource + Send + Sync>> = vec![
+            workload_sized("bfs_80000_8", h.warmup + h.measure),
+            workload_sized("mcf", h.warmup + h.measure),
+        ];
+        let w = run_bench_window(&h, "test", &workloads);
+        assert_eq!(w.cells.len(), workloads.len() * BENCH_SCHEMES.len());
         assert!(w.cells.iter().all(|c| c.insts == 4_000));
         assert!(w.cells.iter().all(|c| c.insts_per_sec > 0.0));
+        // Each workload's checkpoint serves all four schemes before the
+        // next workload is warmed: its cells are contiguous, in scheme order.
+        for (wl, chunk) in workloads.iter().zip(w.cells.chunks(BENCH_SCHEMES.len())) {
+            assert!(chunk.iter().all(|c| c.workload == wl.name()));
+            let schemes: Vec<&str> = chunk.iter().map(|c| c.scheme.as_str()).collect();
+            assert_eq!(schemes, BENCH_SCHEMES);
+        }
     }
 
     #[test]
-    fn cell_mode_parses_like_the_flag() {
-        assert_eq!(CellMode::parse("warm"), Ok(CellMode::Warm));
-        assert_eq!(CellMode::parse("shared"), Ok(CellMode::Shared));
-        assert_eq!(CellMode::parse("cold"), Ok(CellMode::Cold));
-        assert!(CellMode::parse("tepid").is_err());
-        assert_eq!(CellMode::default(), CellMode::Warm);
+    fn median_repeat_produces_a_window() {
+        let h = Harness {
+            warmup: 2_000,
+            measure: 2_000,
+            ..Harness::default()
+        };
+        let workloads: Vec<Box<dyn TraceSource + Send + Sync>> =
+            vec![workload_sized("bfs_80000_8", h.warmup + h.measure)];
+        let w = run_bench_window_median(&h, "test", &workloads, 3);
+        assert_eq!(w.cells.len(), BENCH_SCHEMES.len());
+        assert!(w.cells.iter().all(|c| c.insts_per_sec > 0.0));
     }
 }

@@ -1,5 +1,5 @@
 //! Steady-state heap-allocation budget for the per-instruction loop
-//! (Issue 7 tentpole #3).
+//! of the simulator.
 //!
 //! A counting `GlobalAlloc` wraps the system allocator for this whole test
 //! binary, and the steady-state allocation rate is measured
@@ -10,20 +10,35 @@
 //! exactly) zero — the budget below tolerates only a handful of events per
 //! *run* (a log-growth table doubling once past the short window), which is
 //! orders of magnitude below one allocation per instruction.
+//!
+//! The counter is per thread: the test harness runs the three tests in
+//! parallel, and a process-wide counter would charge each test with the
+//! others' allocations. Every measured run executes on the calling
+//! thread, so a thread-local count sees all of its allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use prophet_bench::Harness;
 use prophet_workloads::workload_sized;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized with a type that needs no destructor: accessing
+    // it never allocates, so the allocator can touch it without recursing.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation event on the current thread. `try_with` keeps an
+/// allocation during thread teardown from panicking inside the allocator.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
@@ -32,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -40,11 +55,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocation count while running `f`.
+/// Allocations the current thread makes while running `f`.
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 /// Measures the marginal allocations of simulating `extra` more

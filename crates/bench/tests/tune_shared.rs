@@ -1,5 +1,5 @@
 //! Reference test for the checkpoint-shared RPG2 tune path: the shared
-//! sweep (`Rpg2Pipeline::run_shared` — one warm-up, one materialized
+//! sweep (`Rpg2Pipeline::run_warm` — one warm-up, one materialized
 //! window, every pass replayed from the snapshot) must be **bit-identical**
 //! to a reference that launches every pass through `WarmStart::simulate`'s
 //! cursor path (fresh trace re-stream + skip per pass) from the same
@@ -103,6 +103,30 @@ fn reference(sys: &SystemConfig, warmup: u64, measure: u64, w: &dyn TraceSource)
     }
 }
 
+/// The warm-up `reference` builds for itself (stride L1, no L2
+/// prefetcher), as the `WarmStart` fed to `run_warm`.
+fn warm_start(sys: &SystemConfig, warmup: u64, w: &dyn TraceSource) -> WarmStart {
+    let mut sim = Simulator::new(
+        sys.clone(),
+        Box::new(StridePrefetcher::default()),
+        Box::new(NoL2Prefetch),
+    );
+    let mut cursor = w.cursor();
+    let mut fed = 0u64;
+    while fed < warmup {
+        match cursor.next_inst() {
+            Some(inst) => sim.step(&inst),
+            None => break,
+        }
+        fed += 1;
+    }
+    WarmStart {
+        engine: sim.engine_snapshot(),
+        memory: sim.mem_system().hierarchy().snapshot(),
+        warmup: fed,
+    }
+}
+
 /// A CRONO-flavoured indirect workload (strided kernel feeding locally
 /// clustered indirect targets) that is known to qualify and tune.
 fn qualifying_workload() -> VecTrace {
@@ -126,7 +150,8 @@ fn shared_sweep_matches_cursor_path_reference_when_tuning() {
     let sys = SystemConfig::isca25();
     let (warmup, measure) = (20_000u64, 120_000u64);
     let w = qualifying_workload();
-    let shared = Rpg2Pipeline::new(sys.clone(), warmup, measure).run_shared(&w);
+    let warm = warm_start(&sys, warmup, &w);
+    let shared = Rpg2Pipeline::new(sys.clone(), warmup, measure).run_warm(&w, &warm);
     assert!(
         shared.distance.is_some(),
         "the workload must exercise the distance sweep for this test to bite"
@@ -143,7 +168,8 @@ fn shared_sweep_matches_cursor_path_reference_without_qualifiers() {
     let sys = SystemConfig::isca25();
     let (warmup, measure) = (20_000u64, 60_000u64);
     let w = workload_sized("bfs_80000_8", warmup + measure);
-    let shared = Rpg2Pipeline::new(sys.clone(), warmup, measure).run_shared(w.as_ref());
+    let warm = warm_start(&sys, warmup, w.as_ref());
+    let shared = Rpg2Pipeline::new(sys.clone(), warmup, measure).run_warm(w.as_ref(), &warm);
     let reference = reference(&sys, warmup, measure, w.as_ref());
     assert_eq!(shared, reference);
     assert_eq!(

@@ -1,37 +1,33 @@
 //! Warm-start golden test: `fig15_crono --store DIR` run twice must (a)
-//! build every checkpoint on the first (cold) run, (b) reuse every
-//! checkpoint on the second (warm) run, (c) produce **bit-identical
-//! stdout**, and (d) be measurably faster warm than cold.
+//! build every checkpoint and profile on the first (cold) run, (b) reuse
+//! every checkpoint and profile on the second (warm) run, and (c) produce
+//! **bit-identical stdout**.
 //!
 //! (c) holds by construction — a cold run with a store round-trips its
-//! freshly built checkpoints through the codec before simulating from
-//! them ([`Harness::checkpoint_via_store`]), so both runs measure from
-//! byte-identical restored state — and this test is what pins the
-//! construction. The window is strongly warm-up-heavy (600 K warm-up vs
-//! 30 K measured), making the checkpoint simulations the warm run skips
-//! ~70% of the cold run's work — a structural ~3× margin, so the timing
-//! assertion in (d) survives noisy CI runners without becoming a flake.
+//! freshly built checkpoints and profiles through the codec before
+//! simulating from them ([`Harness::checkpoint_via_store`]), so both runs
+//! measure from byte-identical restored state — and this test is what
+//! pins the construction. (a) and (b) read the store activity line
+//! (`report_store_activity`) rather than a wall clock: the reuse counts
+//! say directly that the warm run skipped every warm-up simulation and
+//! every profiling pass, without depending on scheduler noise.
 
 use std::process::Command;
-use std::time::{Duration, Instant};
 
 const ARGS: [&str; 6] = ["--insts", "30000", "--warmup", "600000", "--jobs", "2"];
 
 struct Run {
     stdout: Vec<u8>,
     stderr: String,
-    elapsed: Duration,
 }
 
 fn run_fig15(store: &std::path::Path) -> Run {
-    let start = Instant::now();
     let out = Command::new(env!("CARGO_BIN_EXE_fig15_crono"))
         .args(ARGS)
         .arg("--store")
         .arg(store)
         .output()
         .expect("failed to launch fig15_crono");
-    let elapsed = start.elapsed();
     assert!(
         out.status.success(),
         "fig15_crono exited with {:?}:\n{}",
@@ -41,7 +37,6 @@ fn run_fig15(store: &std::path::Path) -> Run {
     Run {
         stdout: out.stdout,
         stderr: String::from_utf8(out.stderr).expect("store activity is UTF-8"),
-        elapsed,
     }
 }
 
@@ -56,11 +51,21 @@ fn warm_start_is_bit_identical_to_cold_start_and_faster() {
         "cold run must build all nine CRONO checkpoints, reported:\n{}",
         cold.stderr
     );
+    assert!(
+        cold.stderr.contains("0 profile(s) reused, 9 created"),
+        "cold run must profile all nine CRONO workloads, reported:\n{}",
+        cold.stderr
+    );
 
     let warm = run_fig15(&dir);
     assert!(
         warm.stderr.contains("9 checkpoint(s) reused, 0 created"),
         "warm run must reuse all nine checkpoints, reported:\n{}",
+        warm.stderr
+    );
+    assert!(
+        warm.stderr.contains("9 profile(s) reused, 0 created"),
+        "warm run must reuse all nine profiles, reported:\n{}",
         warm.stderr
     );
 
@@ -73,17 +78,6 @@ fn warm_start_is_bit_identical_to_cold_start_and_faster() {
     assert!(
         !cold.stdout.is_empty(),
         "fig15_crono printed nothing — the identity check above is vacuous"
-    );
-
-    // The warm run skips nine 600 K-instruction warm-up simulations —
-    // structurally ~70% of the cold run's simulated work — so even under
-    // heavy scheduler noise it must come in under the cold wall clock.
-    assert!(
-        warm.elapsed < cold.elapsed,
-        "warm start ({:?}) not faster than cold start ({:?}) — checkpoints \
-         are not actually being reused",
-        warm.elapsed,
-        cold.elapsed,
     );
 
     std::fs::remove_dir_all(&dir).ok();

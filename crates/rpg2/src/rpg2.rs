@@ -2,8 +2,8 @@
 
 use crate::kernel::{KernelAnalysis, KernelScan};
 use crate::swpf::Rpg2Prefetcher;
-use prophet_prefetch::{NoL2Prefetch, StridePrefetcher};
-use prophet_sim_core::{simulate, SimReport, Simulator, TraceInst, TraceSource, WarmStart};
+use prophet_prefetch::{L2Prefetcher, NoL2Prefetch, StridePrefetcher};
+use prophet_sim_core::{simulate, SimReport, TraceSource, WarmStart};
 use prophet_sim_mem::SystemConfig;
 use std::collections::HashMap;
 
@@ -12,73 +12,12 @@ use std::collections::HashMap;
 /// same points).
 pub const DISTANCE_CANDIDATES: [i64; 5] = [2, 4, 8, 16, 32];
 
-/// How the distance sweep evaluates candidates (DESIGN.md §7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepMode {
-    /// Every candidate simulates the full measurement window — the exact
-    /// sweep the figures use.
-    #[default]
-    Full,
-    /// Opt-in: candidates are *ranked* on a deterministic sample (the
-    /// leading quarter of the materialized window), then the top two are
-    /// validated on the full window. If the sampled winner holds, its
-    /// full-window run is the result; if the validation disagrees, the
-    /// sweep falls back to the full evaluation (reusing the two
-    /// full-window runs already paid for). The returned report is always
-    /// a genuine full-window simulation — only *which* candidates get a
-    /// full-window run is approximated.
-    Sampled,
-}
-
-impl SweepMode {
-    /// Parses a `--sweep-mode` value.
-    pub fn parse(s: &str) -> Result<SweepMode, String> {
-        match s {
-            "full" => Ok(SweepMode::Full),
-            "sampled" => Ok(SweepMode::Sampled),
-            v => Err(format!("--sweep-mode: expected full|sampled, got {v}")),
-        }
-    }
-}
-
-/// Cumulative sampled-sweep outcomes (process-wide, all threads).
-/// Diagnostics only — never feeds figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SweepStats {
-    /// Sampled sweeps whose winner survived full-window validation.
-    pub sampled_accepts: u64,
-    /// Sampled sweeps that fell back to the full evaluation (validation
-    /// disagreed, or the window was too small to sample).
-    pub sampled_fallbacks: u64,
-}
-
-static SAMPLED_ACCEPTS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static SAMPLED_FALLBACKS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Reads the cumulative sampled-sweep counters.
-pub fn sweep_stats() -> SweepStats {
-    use std::sync::atomic::Ordering::Relaxed;
-    SweepStats {
-        sampled_accepts: SAMPLED_ACCEPTS.load(Relaxed),
-        sampled_fallbacks: SAMPLED_FALLBACKS.load(Relaxed),
-    }
-}
-
-/// Fraction of the window (1/`SAMPLE_DIV`) used for candidate ranking in
-/// sampled mode.
-const SAMPLE_DIV: usize = 4;
-
-/// Below this many sampled instructions the ranking is noise; the sweep
-/// falls straight through to the full evaluation.
-const MIN_SAMPLE_INSTS: usize = 8_192;
-
 /// The RPG2 profile-guided pipeline for one workload.
 #[derive(Debug, Clone)]
 pub struct Rpg2Pipeline {
     sys: SystemConfig,
     warmup: u64,
     measure: u64,
-    sweep: SweepMode,
 }
 
 /// Outcome of running the pipeline.
@@ -94,23 +33,13 @@ pub struct Rpg2Result {
 }
 
 impl Rpg2Pipeline {
-    /// Creates the pipeline (full sweep).
+    /// Creates the pipeline.
     pub fn new(sys: SystemConfig, warmup: u64, measure: u64) -> Self {
         Rpg2Pipeline {
             sys,
             warmup,
             measure,
-            sweep: SweepMode::default(),
         }
-    }
-
-    /// Selects how the distance sweep evaluates candidates. Applies to
-    /// the window-replaying pipelines ([`Rpg2Pipeline::run_warm`] /
-    /// [`Rpg2Pipeline::run_shared`]); the cold [`Rpg2Pipeline::run`] path
-    /// has no materialized window to sample and always sweeps in full.
-    pub fn with_sweep_mode(mut self, mode: SweepMode) -> Self {
-        self.sweep = mode;
-        self
     }
 
     /// Identification: miss profile (baseline run) + trace scan.
@@ -129,12 +58,7 @@ impl Rpg2Pipeline {
     /// The trace-scan half of identification, given an already-simulated
     /// baseline miss profile.
     fn qualify_from(base: &SimReport, workload: &dyn TraceSource) -> Vec<u64> {
-        let misses: HashMap<u64, u64> = base
-            .per_pc
-            .iter()
-            .map(|(&pc, s)| (pc, s.l2_misses))
-            .collect();
-        KernelAnalysis::scan(workload).qualify(&misses)
+        KernelAnalysis::scan(workload).qualify(&l2_misses(base))
     }
 
     /// Runs one instrumented simulation at `distance`.
@@ -161,7 +85,7 @@ impl Rpg2Pipeline {
         // One baseline simulation serves both halves of identification and,
         // when nothing qualifies, *is* the result (the sim is deterministic,
         // so re-running it — as this path once did — could only waste time).
-        let mut base = simulate(
+        let base = simulate(
             &self.sys,
             workload,
             Box::new(StridePrefetcher::default()),
@@ -170,31 +94,9 @@ impl Rpg2Pipeline {
             self.measure,
         );
         let qualified = Self::qualify_from(&base, workload);
-        if qualified.is_empty() {
-            base.scheme = "rpg2".into();
-            return Rpg2Result {
-                qualified_pcs: qualified,
-                distance: None,
-                report: base,
-            };
-        }
-        let mut best: Option<(i64, SimReport)> = None;
-        for &d in &DISTANCE_CANDIDATES {
-            let r = self.run_at_distance(workload, &qualified, d);
-            let better = match &best {
-                None => true,
-                Some((_, b)) => r.ipc > b.ipc,
-            };
-            if better {
-                best = Some((d, r));
-            }
-        }
-        let (distance, report) = best.expect("at least one candidate evaluated");
-        Rpg2Result {
-            qualified_pcs: qualified,
-            distance: Some(distance),
-            report,
-        }
+        tune(base, qualified, |pcs, d| {
+            self.run_at_distance(workload, pcs, d)
+        })
     }
 
     /// The full pipeline launched from a shared warm-up checkpoint: the
@@ -220,58 +122,8 @@ impl Rpg2Pipeline {
             }
             skipped += 1;
         }
-        let window = Self::collect_window(&mut *cursor, self.measure, &mut scan);
-        self.sweep_shared(&workload.name(), warm, &window, &scan.finish())
-    }
-
-    /// The full pipeline over a *self-built* shared warm-up: simulate the
-    /// baseline warm-up once, snapshot it, and measure the identification
-    /// baseline plus every distance candidate from the shared snapshot.
-    /// Compared to [`Rpg2Pipeline::run`], qualifying workloads pay one
-    /// warm-up instead of six; the measurement semantics follow the
-    /// checkpoint-validity rule (every pass starts its prefetchers fresh
-    /// at the measurement boundary), exactly like the store-backed warm
-    /// path — `run_shared` with no store is `run_warm` with a checkpoint
-    /// built in place. The reference suite pins it bit-identical to
-    /// per-candidate `WarmStart::simulate` calls from the same warm-up.
-    pub fn run_shared(&self, workload: &dyn TraceSource) -> Rpg2Result {
-        let mut sim = Simulator::new(
-            self.sys.clone(),
-            Box::new(StridePrefetcher::default()),
-            Box::new(NoL2Prefetch),
-        );
-        let mut scan = KernelScan::new();
-        let mut cursor = workload.cursor();
-        let mut fed = 0u64;
-        while fed < self.warmup {
-            match cursor.next_inst() {
-                Some(inst) => {
-                    scan.observe(&inst);
-                    sim.step(&inst);
-                }
-                None => break,
-            }
-            fed += 1;
-        }
-        let warm = WarmStart {
-            engine: sim.engine_snapshot(),
-            memory: sim.mem_system().hierarchy().snapshot(),
-            warmup: fed,
-        };
-        let window = Self::collect_window(&mut *cursor, self.measure, &mut scan);
-        self.sweep_shared(&workload.name(), &warm, &window, &scan.finish())
-    }
-
-    /// Drains up to `measure` instructions from an already-positioned
-    /// cursor into a materialized window, feeding each to the scanner.
-    fn collect_window(
-        cursor: &mut dyn prophet_sim_core::trace::TraceCursor,
-        measure: u64,
-        scan: &mut KernelScan,
-    ) -> Vec<TraceInst> {
-        let mut window = Vec::with_capacity(measure.min(1 << 24) as usize);
-        let mut got = 0u64;
-        while got < measure {
+        let mut window = Vec::with_capacity(self.measure.min(1 << 24) as usize);
+        while (window.len() as u64) < self.measure {
             match cursor.next_inst() {
                 Some(inst) => {
                     scan.observe(&inst);
@@ -279,149 +131,65 @@ impl Rpg2Pipeline {
                 }
                 None => break,
             }
-            got += 1;
         }
-        window
-    }
-
-    /// The measurement half shared by [`Rpg2Pipeline::run_warm`] and
-    /// [`Rpg2Pipeline::run_shared`]: baseline pass, qualification, then
-    /// the distance sweep, all replaying one materialized window from one
-    /// warm state.
-    fn sweep_shared(
-        &self,
-        name: &str,
-        warm: &WarmStart,
-        window: &[TraceInst],
-        analysis: &KernelAnalysis,
-    ) -> Rpg2Result {
-        let mut base = warm.simulate_window(
-            &self.sys,
-            name,
-            window,
-            Box::new(StridePrefetcher::default()),
-            Box::new(NoL2Prefetch),
-        );
-        let misses: HashMap<u64, u64> = base
-            .per_pc
-            .iter()
-            .map(|(&pc, s)| (pc, s.l2_misses))
-            .collect();
-        let qualified = analysis.qualify(&misses);
-        if qualified.is_empty() {
-            base.scheme = "rpg2".into();
-            return Rpg2Result {
-                qualified_pcs: qualified,
-                distance: None,
-                report: base,
-            };
-        }
-        let (distance, report) = match self.sweep {
-            SweepMode::Full => self.full_sweep(name, warm, window, &qualified, Vec::new()),
-            SweepMode::Sampled => self.sampled_sweep(name, warm, window, &qualified),
+        let name = workload.name();
+        let replay = |l2: Box<dyn L2Prefetcher>| {
+            warm.simulate_window(
+                &self.sys,
+                &name,
+                &window,
+                Box::new(StridePrefetcher::default()),
+                l2,
+            )
         };
-        Rpg2Result {
+        let base = replay(Box::new(NoL2Prefetch));
+        let qualified = scan.finish().qualify(&l2_misses(&base));
+        tune(base, qualified, |pcs, d| {
+            replay(Box::new(Rpg2Prefetcher::with_uniform_distance(pcs, d)))
+        })
+    }
+}
+
+/// Per-PC L2 misses of a baseline run (the miss half of qualification).
+fn l2_misses(base: &SimReport) -> HashMap<u64, u64> {
+    base.per_pc
+        .iter()
+        .map(|(&pc, s)| (pc, s.l2_misses))
+        .collect()
+}
+
+/// The tuning half of both pipelines: with no qualified PCs the baseline
+/// is the result; otherwise every candidate distance runs and strict
+/// improvement wins (the first candidate takes ties).
+fn tune(
+    mut base: SimReport,
+    qualified: Vec<u64>,
+    mut run_at: impl FnMut(&[u64], i64) -> SimReport,
+) -> Rpg2Result {
+    if qualified.is_empty() {
+        base.scheme = "rpg2".into();
+        return Rpg2Result {
             qualified_pcs: qualified,
-            distance: Some(distance),
-            report,
-        }
-    }
-
-    /// One instrumented window replay at `distance`.
-    fn candidate_run(
-        &self,
-        name: &str,
-        warm: &WarmStart,
-        window: &[TraceInst],
-        pcs: &[u64],
-        distance: i64,
-    ) -> SimReport {
-        warm.simulate_window(
-            &self.sys,
-            name,
-            window,
-            Box::new(StridePrefetcher::default()),
-            Box::new(Rpg2Prefetcher::with_uniform_distance(pcs, distance)),
-        )
-    }
-
-    /// The exact sweep: every candidate over the full window, strict
-    /// improvement wins (the first candidate takes ties). `cached` carries
-    /// full-window runs already computed (the sampled fallback's two
-    /// validation runs) so they are reused, not re-simulated — the
-    /// selection is identical to a pure full sweep either way.
-    fn full_sweep(
-        &self,
-        name: &str,
-        warm: &WarmStart,
-        window: &[TraceInst],
-        pcs: &[u64],
-        mut cached: Vec<(i64, SimReport)>,
-    ) -> (i64, SimReport) {
-        let mut best: Option<(i64, SimReport)> = None;
-        for &d in &DISTANCE_CANDIDATES {
-            let r = match cached.iter().position(|(cd, _)| *cd == d) {
-                Some(i) => cached.swap_remove(i).1,
-                None => self.candidate_run(name, warm, window, pcs, d),
-            };
-            let better = match &best {
-                None => true,
-                Some((_, b)) => r.ipc > b.ipc,
-            };
-            if better {
-                best = Some((d, r));
-            }
-        }
-        best.expect("at least one candidate evaluated")
-    }
-
-    /// The sampled sweep (see [`SweepMode::Sampled`]): rank on the leading
-    /// quarter of the window, validate the top two candidates in full,
-    /// fall back to [`Rpg2Pipeline::full_sweep`] on disagreement.
-    fn sampled_sweep(
-        &self,
-        name: &str,
-        warm: &WarmStart,
-        window: &[TraceInst],
-        pcs: &[u64],
-    ) -> (i64, SimReport) {
-        use std::sync::atomic::Ordering::Relaxed;
-        let n = window.len() / SAMPLE_DIV;
-        if n < MIN_SAMPLE_INSTS {
-            SAMPLED_FALLBACKS.fetch_add(1, Relaxed);
-            return self.full_sweep(name, warm, window, pcs, Vec::new());
-        }
-        // The sample is a deterministic prefix: sub-sampling *instructions*
-        // out of the middle would shift dependency offsets and corrupt the
-        // address stream, so the sample keeps the stream intact and trades
-        // only window length.
-        let sample = &window[..n];
-        let mut ranked: Vec<(usize, i64, f64)> = DISTANCE_CANDIDATES
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| (i, d, self.candidate_run(name, warm, sample, pcs, d).ipc))
-            .collect();
-        // Highest sampled IPC first; candidate order breaks ties, matching
-        // the full sweep's first-wins rule.
-        ranked.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
-        let (i1, d1, _) = ranked[0];
-        let (i2, d2, _) = ranked[1];
-        let r1 = self.candidate_run(name, warm, window, pcs, d1);
-        let r2 = self.candidate_run(name, warm, window, pcs, d2);
-        // Does the sampled winner hold on the full window? Ties resolve by
-        // candidate order, as the full sweep would.
-        let confirmed = if i1 < i2 {
-            r1.ipc >= r2.ipc
-        } else {
-            r1.ipc > r2.ipc
+            distance: None,
+            report: base,
         };
-        if confirmed {
-            SAMPLED_ACCEPTS.fetch_add(1, Relaxed);
-            (d1, r1)
-        } else {
-            SAMPLED_FALLBACKS.fetch_add(1, Relaxed);
-            self.full_sweep(name, warm, window, pcs, vec![(d1, r1), (d2, r2)])
+    }
+    let mut best: Option<(i64, SimReport)> = None;
+    for &d in &DISTANCE_CANDIDATES {
+        let r = run_at(&qualified, d);
+        let better = match &best {
+            None => true,
+            Some((_, b)) => r.ipc > b.ipc,
+        };
+        if better {
+            best = Some((d, r));
         }
+    }
+    let (distance, report) = best.expect("at least one candidate evaluated");
+    Rpg2Result {
+        qualified_pcs: qualified,
+        distance: Some(distance),
+        report,
     }
 }
 
@@ -478,57 +246,6 @@ mod tests {
             res.report.ipc,
             base.ipc
         );
-    }
-
-    #[test]
-    fn sampled_sweep_returns_a_full_window_result() {
-        let w = crono_like();
-        let full = Rpg2Pipeline::new(SystemConfig::isca25(), 20_000, 120_000).run_shared(&w);
-        let before = sweep_stats();
-        let sampled = Rpg2Pipeline::new(SystemConfig::isca25(), 20_000, 120_000)
-            .with_sweep_mode(SweepMode::Sampled)
-            .run_shared(&w);
-        let after = sweep_stats();
-        // `>=`: the counters are process-wide and other tests may run
-        // sampled sweeps concurrently.
-        assert!(
-            after.sampled_accepts + after.sampled_fallbacks
-                >= before.sampled_accepts + before.sampled_fallbacks + 1,
-            "one sampled sweep ran"
-        );
-        assert_eq!(sampled.qualified_pcs, full.qualified_pcs);
-        let d = sampled.distance.expect("sampled sweep tunes a distance");
-        assert!(DISTANCE_CANDIDATES.contains(&d));
-        // The report is a genuine full-window run at the chosen distance —
-        // bit-identical to evaluating that candidate in full mode.
-        assert!(sampled.report.ipc > 0.0 && sampled.report.ipc.is_finite());
-        let rel = (sampled.report.ipc - full.report.ipc).abs() / full.report.ipc;
-        assert!(
-            rel <= 0.05,
-            "sampled-sweep pick diverged {:.1}% from the full sweep's",
-            rel * 100.0
-        );
-    }
-
-    #[test]
-    fn tiny_window_sampled_sweep_matches_full_exactly() {
-        // Below the sampling floor the sampled mode must fall back to the
-        // full evaluation and produce the *identical* result.
-        let mut rng = StdRng::seed_from_u64(9);
-        let idx: Vec<u64> = (0..6_000u64)
-            .map(|i| (i / 4) * 2 + rng.gen_range(0..64u64))
-            .collect();
-        let mut insts = Vec::new();
-        for (i, &v) in idx.iter().enumerate() {
-            insts.push(TraceInst::load(Pc(1), Addr(0x10_0000 * 64 + i as u64 * 8)));
-            insts.push(TraceInst::load_dep(Pc(2), Addr(0x20_0000 * 64 + v * 64), 1));
-        }
-        let w = VecTrace::new("tiny", insts);
-        let full = Rpg2Pipeline::new(SystemConfig::isca25(), 2_000, 8_000).run_shared(&w);
-        let sampled = Rpg2Pipeline::new(SystemConfig::isca25(), 2_000, 8_000)
-            .with_sweep_mode(SweepMode::Sampled)
-            .run_shared(&w);
-        assert_eq!(sampled, full, "sub-floor windows must not be sampled");
     }
 
     #[test]

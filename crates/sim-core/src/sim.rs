@@ -526,29 +526,6 @@ mod tests {
         assert_eq!(via_cursor, via_window);
     }
 
-    /// An idle-engine snapshot (the fast warm-up's pipeline image) must
-    /// restore cleanly and resolve early dependency edges against its
-    /// warm-up slot count.
-    #[test]
-    fn idle_engine_snapshot_measures_from_cycle() {
-        let cfg = SystemConfig::isca25();
-        let trace = dependent_stride_trace(30_000);
-        let warm = WarmStart {
-            engine: crate::engine::EngineSnapshot::idle_at(&cfg.core, 5_000, 10_000),
-            memory: Hierarchy::new(&cfg).snapshot(),
-            warmup: 10_000,
-        };
-        let r = warm.simulate(
-            &cfg,
-            &trace,
-            Box::new(NoL1Prefetch),
-            Box::new(NoL2Prefetch),
-            10_000,
-        );
-        assert_eq!(r.instructions, 10_000);
-        assert!(r.ipc > 0.0, "measurement proceeds from the idle snapshot");
-    }
-
     #[test]
     fn short_trace_measures_what_exists() {
         let cfg = SystemConfig::isca25();

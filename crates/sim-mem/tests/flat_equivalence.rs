@@ -327,8 +327,8 @@ fn check_flat_repl(kind: ReplKind, sets: usize, ways: usize, seed: u64) {
     }
     // Full-state sweep, then a restore round-trip into fresh instances.
     let mut flat2 = FlatRepl::new(kind, sets, ways);
-    for set in 0..sets {
-        let snap = reference[set].snapshot();
+    for (set, r) in reference.iter().enumerate() {
+        let snap = r.snapshot();
         assert_eq!(flat.snapshot_set(set), snap, "final snapshot, set {set}");
         flat2.restore_set(set, &snap);
     }

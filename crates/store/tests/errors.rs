@@ -134,11 +134,15 @@ fn sample_checkpoint() -> Vec<u8> {
     )
 }
 
+/// An artifact kind's name, a sample encoding, and "does this byte string
+/// fail to decode as that kind".
+type DecodeCase = (&'static str, Vec<u8>, fn(&[u8]) -> bool);
+
 /// Every possible truncation of every artifact kind decodes to an error —
 /// no panic, and never a silent partial success.
 #[test]
 fn truncated_files_error_for_every_prefix_length() {
-    let cases: [(&str, Vec<u8>, fn(&[u8]) -> bool); 3] = [
+    let cases: [DecodeCase; 3] = [
         ("profile", sample_profile(), |b| decode_profile(b).is_err()),
         ("hints", sample_hints(), |b| decode_hints(b).is_err()),
         ("checkpoint", sample_checkpoint(), |b| {

@@ -105,8 +105,9 @@ mod tests {
 
     #[test]
     fn neighbors_are_mostly_local() {
-        let g = Graph::clustered(10_000, 8, 3);
-        let window = (10_000 / 512).max(8) as i64;
+        let vertices = 10_000usize;
+        let g = Graph::clustered(vertices, 8, 3);
+        let window = (vertices / 512).max(8) as i64;
         let mut local = 0usize;
         let mut total = 0usize;
         for u in 0..g.vertices() {

@@ -61,6 +61,19 @@ pub struct LineState {
     pub trigger_pc: Option<Pc>,
 }
 
+impl LineState {
+    /// Clears the prefetch-usefulness bit, returning the trigger PC if the
+    /// bit was set (the prefetch has just been used).
+    fn consume_prefetch_bit(&mut self) -> Option<Pc> {
+        if self.prefetched {
+            self.prefetched = false;
+            self.trigger_pc.take()
+        } else {
+            None
+        }
+    }
+}
+
 /// A line pushed out of the cache by a fill or partition change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
@@ -269,34 +282,47 @@ impl Cache {
         Some(way)
     }
 
-    /// Prefetch-side lookup: updates replacement state on a hit but does not
-    /// touch demand counters or the prefetch-usefulness bit (only demand
-    /// accesses make a prefetch "useful"). Returns whether the line hit.
-    pub fn touch(&mut self, line: Line) -> bool {
-        match self.find_way(line) {
-            Some(way) => {
-                let set = self.set_index(line);
-                self.repl.on_hit(set, way);
-                true
-            }
-            None => false,
+    /// The resident line in `slot`.
+    fn line_at(&mut self, slot: usize) -> &mut LineState {
+        self.lines[slot].as_mut().expect("hit way must be valid")
+    }
+
+    /// Empties `slot` of `set` and returns the line it held.
+    fn take_slot(&mut self, set: usize, slot: usize) -> LineState {
+        self.tags[slot] = NO_TAG;
+        self.filled[set] -= 1;
+        self.lines[slot].take().expect("taken way must be valid")
+    }
+
+    /// Prefetch-side lookup that uses the line: updates replacement state on
+    /// a hit and clears the prefetch-usefulness bit, without touching the
+    /// demand counters. `first_use_of_prefetch` is the trigger PC if the bit
+    /// was set (the caller credits the prefetch as used through a
+    /// non-demand path, e.g. an L1-prefetch hit in the L2).
+    pub(crate) fn touch_consume(&mut self, line: Line) -> AccessResult {
+        let Some(way) = self.find_way(line) else {
+            return AccessResult {
+                hit: false,
+                first_use_of_prefetch: None,
+            };
+        };
+        let set = self.set_index(line);
+        self.repl.on_hit(set, way);
+        let slot = self.slot(set, way);
+        AccessResult {
+            hit: true,
+            first_use_of_prefetch: self.line_at(slot).consume_prefetch_bit(),
         }
     }
 
-    /// Clears the prefetched bit of a resident line, returning the trigger
-    /// PC if the bit was set (the caller is crediting the prefetch as used
-    /// through a non-demand path, e.g. an L1-prefetch hit).
-    pub fn consume_prefetch_bit(&mut self, line: Line) -> Option<Pc> {
+    /// Prefetch-side promotion: on a hit, updates replacement state (without
+    /// touching the demand counters or the prefetch-usefulness bit) and then
+    /// removes the line, returning its state unchanged.
+    pub(crate) fn touch_take(&mut self, line: Line) -> Option<LineState> {
         let way = self.find_way(line)?;
         let set = self.set_index(line);
-        let slot = self.slot(set, way);
-        let state = self.lines[slot].as_mut().expect("way is valid");
-        if state.prefetched {
-            state.prefetched = false;
-            state.trigger_pc.take()
-        } else {
-            None
-        }
+        self.repl.on_hit(set, way);
+        Some(self.take_slot(set, self.slot(set, way)))
     }
 
     /// Demand access (load or store). Updates replacement state and the
@@ -306,14 +332,8 @@ impl Cache {
         if let Some(way) = self.find_way(line) {
             self.stats.demand_hits += 1;
             self.repl.on_hit(set, way);
-            let slot = self.slot(set, way);
-            let state = self.lines[slot].as_mut().expect("hit way must be valid");
-            let first_use = if state.prefetched {
-                state.prefetched = false;
-                state.trigger_pc.take()
-            } else {
-                None
-            };
+            let state = self.line_at(self.slot(set, way));
+            let first_use = state.consume_prefetch_bit();
             if is_store {
                 state.dirty = true;
             }
@@ -328,6 +348,24 @@ impl Cache {
                 first_use_of_prefetch: None,
             }
         }
+    }
+
+    /// Demand load that promotes the line out of this level (a hit in a
+    /// mostly-exclusive LLC): counts and updates replacement state exactly
+    /// as `access(line, false)` does, then removes the line. On a hit,
+    /// returns the removed state (prefetch bit already consumed) and the
+    /// trigger PC if this was the first demand use of a prefetched line.
+    pub(crate) fn access_take(&mut self, line: Line) -> Option<(LineState, Option<Pc>)> {
+        let Some(way) = self.find_way(line) else {
+            self.stats.demand_misses += 1;
+            return None;
+        };
+        let set = self.set_index(line);
+        self.stats.demand_hits += 1;
+        self.repl.on_hit(set, way);
+        let slot = self.slot(set, way);
+        let first_use = self.line_at(slot).consume_prefetch_bit();
+        Some((self.take_slot(set, slot), first_use))
     }
 
     /// Inserts `state` (which must not already be resident), evicting a
@@ -384,10 +422,7 @@ impl Cache {
     pub fn invalidate(&mut self, line: Line) -> Option<LineState> {
         let way = self.find_way(line)?;
         let set = self.set_index(line);
-        let slot = self.slot(set, way);
-        self.tags[slot] = NO_TAG;
-        self.filled[set] -= 1;
-        self.lines[slot].take()
+        Some(self.take_slot(set, self.slot(set, way)))
     }
 
     /// Marks a resident line dirty (write-back arriving from an upper level).
@@ -628,6 +663,142 @@ mod tests {
     fn over_reserve_panics() {
         let mut c = small_cache(2, 4);
         c.set_reserved_ways(3);
+    }
+
+    /// `touch` as it was before the single-probe operations: a
+    /// prefetch-side hit updates replacement state only.
+    fn touch_ref(c: &mut Cache, line: Line) -> bool {
+        match c.find_way(line) {
+            Some(way) => {
+                let set = c.set_index(line);
+                c.repl.on_hit(set, way);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// `consume_prefetch_bit` as it was: a second probe that clears the
+    /// prefetched bit of a resident line and returns its trigger PC.
+    fn consume_prefetch_bit_ref(c: &mut Cache, line: Line) -> Option<Pc> {
+        let way = c.find_way(line)?;
+        let slot = c.slot(c.set_index(line), way);
+        let state = c.lines[slot].as_mut().expect("way is valid");
+        if state.prefetched {
+            state.prefetched = false;
+            state.trigger_pc.take()
+        } else {
+            None
+        }
+    }
+
+    /// Each single-probe operation against the two-call sequence it
+    /// replaced, over random streams that also fill, demand-access,
+    /// mark dirty and repartition (`way_lo > 0`): identical return
+    /// values, snapshots and counters after every step.
+    #[test]
+    fn single_probe_ops_match_two_call_sequences() {
+        let kinds = [
+            ReplKind::Lru,
+            ReplKind::Plru,
+            ReplKind::Srrip,
+            ReplKind::Hawkeye,
+            ReplKind::Random,
+        ];
+        for (k, &kind) in kinds.iter().enumerate() {
+            for (ways, sets) in [(8, 16), (4, 8), (6, 4)] {
+                let cfg = CacheConfig {
+                    name: "T",
+                    size_bytes: (sets * ways) as u64 * 64,
+                    ways,
+                    hit_latency: 2,
+                    repl: kind,
+                    mshrs: 8,
+                };
+                let mut one = Cache::new(cfg.clone());
+                let mut two = Cache::new(cfg);
+                let mut seed = 0x5EED_0000 ^ ((k as u64) << 8) ^ ways as u64;
+                let mut rng = move || {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    seed
+                };
+                let universe = (sets * ways * 2) as u64;
+                // Hits of each operation, and first uses of a prefetch.
+                let mut probes = [0u64; 5];
+                for step in 0..8_000 {
+                    let r = rng();
+                    let line = Line(r % universe);
+                    match (r >> 32) % 16 {
+                        0..=4 => {
+                            if !one.contains(line) && one.data_ways() > 0 {
+                                let state = if r >> 40 & 1 == 1 {
+                                    prefetched_line(line, Pc(r >> 48))
+                                } else {
+                                    demand_line(line, r >> 41 & 1 == 1)
+                                };
+                                assert_eq!(one.fill(state), two.fill(state), "step {step}");
+                            }
+                        }
+                        5..=6 => {
+                            let store = r >> 40 & 1 == 1;
+                            assert_eq!(one.access(line, store), two.access(line, store));
+                        }
+                        7 => assert_eq!(one.mark_dirty(line), two.mark_dirty(line)),
+                        8 => {
+                            let k = (r >> 40) as usize % ways;
+                            assert_eq!(one.set_reserved_ways(k), two.set_reserved_ways(k));
+                        }
+                        9..=10 => {
+                            let got = one.access_take(line);
+                            let r = two.access(line, false);
+                            let want = r.hit.then(|| {
+                                let state = two.invalidate(line).expect("hit is resident");
+                                (state, r.first_use_of_prefetch)
+                            });
+                            probes[0] += got.is_some() as u64;
+                            probes[1] += matches!(got, Some((_, Some(_)))) as u64;
+                            assert_eq!(got, want, "access_take, step {step}");
+                        }
+                        11..=12 => {
+                            let got = one.touch_take(line);
+                            let want = if touch_ref(&mut two, line) {
+                                two.invalidate(line)
+                            } else {
+                                None
+                            };
+                            probes[2] += got.is_some() as u64;
+                            assert_eq!(got, want, "touch_take, step {step}");
+                        }
+                        _ => {
+                            let got = one.touch_consume(line);
+                            let want = if touch_ref(&mut two, line) {
+                                AccessResult {
+                                    hit: true,
+                                    first_use_of_prefetch: consume_prefetch_bit_ref(&mut two, line),
+                                }
+                            } else {
+                                AccessResult {
+                                    hit: false,
+                                    first_use_of_prefetch: None,
+                                }
+                            };
+                            probes[3] += got.hit as u64;
+                            probes[4] += got.first_use_of_prefetch.is_some() as u64;
+                            assert_eq!(got, want, "touch_consume, step {step}");
+                        }
+                    }
+                    assert_eq!(one.snapshot(), two.snapshot(), "{kind:?} step {step}");
+                    assert_eq!(one.stats(), two.stats(), "{kind:?} step {step}");
+                    assert_eq!(one.filled, two.filled, "{kind:?} step {step}");
+                }
+                assert!(
+                    probes.iter().all(|&n| n > 20),
+                    "{kind:?} {ways}-way: too few hits {probes:?}"
+                );
+            }
+        }
     }
 
     #[test]

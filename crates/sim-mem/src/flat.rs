@@ -10,16 +10,18 @@
 //!   with a fixed multiply-shift hash. It never deletes (none of the hot
 //!   users delete), grows at ¾ load, and keeps its capacity across
 //!   [`FlatMap::clear`], so steady-state use performs no heap allocation.
-//! * [`InflightTable`] — the hierarchy's pending-miss set: a dense
-//!   insertion-ordered vector of `(line, ready)` pairs plus a `FlatMap`
-//!   index, replacing per-access map churn with O(1) probes and a linear
-//!   sweep for the MSHR scan.
+//! * [`InflightTable`] — the hierarchy's pending-miss set: a vector of
+//!   `(ready, line)` pairs kept sorted by ready cycle plus a `FlatMap`
+//!   index, so lookups are O(1) probes and the MSHR-pressure query
+//!   (outstanding count and earliest ready cycle at any `now`) is one
+//!   binary search.
 //!
 //! Both are drop-in *behavioral* equivalents of the maps they replaced:
-//! lookups, overwrites, and retain-style purges produce the same results
-//! for any operation sequence (pinned by `tests/flat_equivalence.rs`).
-//! Iteration order differs from `HashMap` (it is deterministic here), so
-//! every iterating consumer must stay order-independent or sort.
+//! lookups, overwrites, retain-style purges and the MSHR query produce the
+//! same results for any operation sequence (pinned by
+//! `tests/flat_equivalence.rs`). Iteration order differs from `HashMap`
+//! (it is deterministic here), so every iterating consumer must stay
+//! order-independent or sort.
 
 use crate::addr::{Cycle, Line};
 
@@ -305,74 +307,95 @@ impl<V: Default + Clone> Default for FlatMap<V> {
 
 /// The hierarchy's pending-miss set (`line → ready cycle`), flattened.
 ///
-/// Entries live densely in insertion order so the MSHR-pressure scan
-/// (count outstanding, min ready) is a cache-friendly sweep, with a
-/// [`FlatMap`] index for O(1) lookup and overwrite. The periodic purge
-/// (`retain_ready_after`) compacts in place and re-indexes without
-/// allocating.
+/// Entries live in a vector sorted by `(ready, line)`, with a [`FlatMap`]
+/// from line to ready cycle for O(1) lookup. Sorting by ready cycle makes
+/// the MSHR-pressure query (how many fills are still outstanding at
+/// `now`, and which completes first) one binary search, exact for any
+/// `now` — including a `now` earlier than a previous query's. The
+/// periodic purge (`retain_ready_after`) drops a prefix and re-indexes
+/// the survivors; steady-state traffic never allocates.
 #[derive(Debug, Clone, Default)]
 pub struct InflightTable {
-    entries: Vec<(Line, Cycle)>,
-    index: FlatMap<u32>,
+    /// `(ready, line)` pairs in ascending order; lines are unique.
+    by_ready: Vec<(Cycle, Line)>,
+    /// `line → ready`, mirroring `by_ready` exactly.
+    ready_of: FlatMap<Cycle>,
 }
 
 impl InflightTable {
     /// An empty table pre-sized so steady-state traffic never grows it.
     pub fn new() -> Self {
         InflightTable {
-            entries: Vec::with_capacity(1024),
-            index: FlatMap::with_capacity(1024),
+            by_ready: Vec::with_capacity(1024),
+            ready_of: FlatMap::with_capacity(1024),
         }
     }
 
-    /// Outstanding entries.
+    /// Recorded entries (outstanding or not yet purged).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.by_ready.len()
     }
 
-    /// Whether nothing is outstanding.
+    /// Whether nothing is recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.by_ready.is_empty()
     }
 
     /// The ready cycle recorded for `line`, if any.
     #[inline]
     pub fn get(&self, line: Line) -> Option<Cycle> {
-        self.index.get(line.0).map(|&i| self.entries[i as usize].1)
+        self.ready_of.get(line.0).copied()
     }
 
     /// Records (or overwrites) `line`'s ready cycle.
     #[inline]
     pub fn insert(&mut self, line: Line, ready: Cycle) {
-        if let Some(&i) = self.index.get(line.0) {
-            self.entries[i as usize].1 = ready;
-        } else {
-            self.index.insert(line.0, self.entries.len() as u32);
-            self.entries.push((line, ready));
+        if let Some(old) = self.ready_of.insert(line.0, ready) {
+            if old == ready {
+                return;
+            }
+            let i = self
+                .by_ready
+                .binary_search(&(old, line))
+                .expect("index and ready order out of sync");
+            self.by_ready.remove(i);
         }
+        let i = self.by_ready.partition_point(|&e| e < (ready, line));
+        self.by_ready.insert(i, (ready, line));
     }
 
-    /// The dense entry slice, for linear scans (MSHR pressure, snapshots).
-    pub fn entries(&self) -> &[(Line, Cycle)] {
-        &self.entries
+    /// The fills still outstanding at `now` (ready strictly after it): how
+    /// many there are, and the earliest ready cycle among them.
+    #[inline]
+    pub fn outstanding_after(&self, now: Cycle) -> (usize, Option<Cycle>) {
+        let first = self.by_ready.partition_point(|&(ready, _)| ready <= now);
+        (
+            self.by_ready.len() - first,
+            self.by_ready.get(first).map(|&(ready, _)| ready),
+        )
     }
 
-    /// Drops every entry whose ready cycle is at or before `now`,
-    /// preserving the relative order of survivors. Allocation-free: the
-    /// index is cleared (capacity kept) and rebuilt from the compacted
-    /// vector.
+    /// Every `(line, ready)` entry, in ascending ready order.
+    pub fn iter(&self) -> impl Iterator<Item = (Line, Cycle)> + '_ {
+        self.by_ready.iter().map(|&(ready, line)| (line, ready))
+    }
+
+    /// Drops every entry whose ready cycle is at or before `now` — a
+    /// prefix of the ready order. Allocation-free: the index is cleared
+    /// (capacity kept) and rebuilt from the survivors.
     pub fn retain_ready_after(&mut self, now: Cycle) {
-        self.entries.retain(|&(_, ready)| ready > now);
-        self.index.clear();
-        for (i, &(line, _)) in self.entries.iter().enumerate() {
-            self.index.insert(line.0, i as u32);
+        let (outstanding, _) = self.outstanding_after(now);
+        self.by_ready.drain(..self.by_ready.len() - outstanding);
+        self.ready_of.clear();
+        for &(ready, line) in &self.by_ready {
+            self.ready_of.insert(line.0, ready);
         }
     }
 
     /// Forgets everything (capacity kept).
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.index.clear();
+        self.by_ready.clear();
+        self.ready_of.clear();
     }
 }
 

@@ -273,7 +273,7 @@ impl Hierarchy {
     pub fn snapshot(&self) -> HierarchySnapshot {
         // The inflight set is sorted so the snapshot (and anything hashed
         // or serialized from it) is independent of insertion order.
-        let mut inflight: Vec<(Line, Cycle)> = self.inflight.entries().to_vec();
+        let mut inflight: Vec<(Line, Cycle)> = self.inflight.iter().collect();
         inflight.sort_unstable();
         HierarchySnapshot {
             l1d: self.l1d.snapshot(),
@@ -315,31 +315,21 @@ impl Hierarchy {
             .filter(|&d| d > 0)
     }
 
-    /// MSHR pressure: when too many fills are outstanding, a new DRAM
-    /// request waits until the oldest completes.
+    /// MSHR pressure: when `mshrs` or more fills are outstanding at `now`
+    /// (ready strictly after it), a new DRAM request waits until the
+    /// earliest of them completes.
     ///
-    /// The sweep of the dense in-flight entries only runs when it can
-    /// matter: outstanding fills (`ready > now`) are a subset of the
-    /// table, so `len() < mshrs` already proves the answer is zero. The
-    /// purge threshold bounds the table at `4 × mshrs` entries, so the
-    /// remaining sweeps stay short; together the two bounds batch the
-    /// per-access cost into one compare on the common path.
+    /// Fills recorded but already complete at `now` do not count, whether
+    /// or not the purge has dropped them yet, and `now` may be earlier
+    /// than a previous call's: the in-flight table is ordered by ready
+    /// cycle, so the count and the earliest ready cycle come from one
+    /// binary search that is exact for any `now`.
     fn mshr_delay(&self, now: Cycle) -> Cycle {
-        if self.inflight.len() < self.l2.config().mshrs {
-            return 0;
-        }
-        let mut outstanding = 0usize;
-        let mut min_ready: Option<Cycle> = None;
-        for &(_, ready) in self.inflight.entries() {
-            if ready > now {
-                outstanding += 1;
-                min_ready = Some(min_ready.map_or(ready, |m| m.min(ready)));
-            }
-        }
+        let (outstanding, first_ready) = self.inflight.outstanding_after(now);
         if outstanding < self.l2.config().mshrs {
             0
         } else {
-            min_ready.map(|r| r.saturating_sub(now)).unwrap_or(0)
+            first_ready.map_or(0, |ready| ready - now)
         }
     }
 
@@ -397,12 +387,10 @@ impl Hierarchy {
 
         // LLC lookup (mostly exclusive: hit promotes the line to L2/L1).
         let llc_lat = l2_lat + self.llc.hit_latency();
-        let r3 = self.llc.access(line, false);
-        if r3.hit {
-            if let Some(trigger) = r3.first_use_of_prefetch {
+        if let Some((promoted, first_use)) = self.llc.access_take(line) {
+            if let Some(trigger) = first_use {
                 self.credit_useful_prefetch(trigger, line, now);
             }
-            let promoted = self.llc.invalidate(line).expect("LLC hit implies resident");
             self.fill_l2(
                 LineState {
                     prefetched: false,
@@ -471,8 +459,9 @@ impl Hierarchy {
         // still counts as that prefetch's use: the line is being pulled to
         // the L1 for an imminent demand, and without the L2 copy this
         // request would have gone to DRAM.
-        if self.l2.touch(line) {
-            if let Some(trigger) = self.l2.consume_prefetch_bit(line) {
+        let r2 = self.l2.touch_consume(line);
+        if r2.hit {
+            if let Some(trigger) = r2.first_use_of_prefetch {
                 self.credit_useful_prefetch(trigger, line, now);
             }
             self.fill_l1(line, false, now);
@@ -484,8 +473,7 @@ impl Hierarchy {
                 now,
             });
         }
-        if self.llc.touch(line) {
-            let promoted = self.llc.invalidate(line).expect("LLC touch hit");
+        if let Some(promoted) = self.llc.touch_take(line) {
             self.fill_l2(promoted, now);
             self.fill_l1(line, false, now);
         } else if self.inflight_penalty(line, now).is_none() {
@@ -557,8 +545,7 @@ impl Hierarchy {
     fn issue_l2_prefetch(&mut self, trigger: Pc, line: Line, now: Cycle) -> PrefetchOutcome {
         self.stats.issued_prefetches += 1;
         self.stats.pc(trigger).issued_prefetches += 1;
-        if self.llc.touch(line) {
-            let promoted = self.llc.invalidate(line).expect("LLC touch hit");
+        if let Some(promoted) = self.llc.touch_take(line) {
             self.fill_l2(
                 LineState {
                     prefetched: true,
@@ -580,8 +567,8 @@ impl Hierarchy {
     }
 
     /// Fills `line` into the L1. Every call site has just observed an L1
-    /// miss for `line` at the same `now` (a missed `access`/`contains`/
-    /// `touch` probe with no intervening L1 fill), so no residency
+    /// miss for `line` at the same `now` (a missed `access`/`contains`
+    /// probe with no intervening L1 fill), so no residency
     /// pre-check runs here — `Cache::fill` debug-asserts the invariant.
     fn fill_l1(&mut self, line: Line, dirty: bool, now: Cycle) {
         if let Some(ev) = self.l1d.fill(demand_line(line, dirty)) {
@@ -595,18 +582,13 @@ impl Hierarchy {
     }
 
     /// Fills `state` into the L2. Every call site has just proven the
-    /// line non-resident (a missed `access`/`touch`/`contains` probe, an
-    /// LLC `invalidate` of a mostly-exclusive line, or an L1-writeback
+    /// line non-resident (a missed `access`/`touch_consume`/`contains`
+    /// probe, an LLC `access_take`/`touch_take` promotion of a
+    /// mostly-exclusive line, or an L1-writeback
     /// `mark_dirty` that returned false), so no residency pre-check runs
     /// here — `Cache::fill` debug-asserts the invariant.
     fn fill_l2(&mut self, state: LineState, now: Cycle) {
         if let Some(ev) = self.l2.fill(state) {
-            if ev.state.prefetched {
-                if let Some(trigger) = ev.state.trigger_pc {
-                    // Useless prefetch: evicted before any demand touch.
-                    let _ = trigger; // per-PC uselessness = issued - useful
-                }
-            }
             self.fill_llc(ev.state, now);
         }
     }
@@ -619,10 +601,14 @@ impl Hierarchy {
             }
             return;
         }
-        if self.llc.contains(state.line) {
-            if state.dirty {
-                self.llc.mark_dirty(state.line);
-            }
+        // Already resident: a dirty victim marks the LLC copy dirty. One
+        // probe either way.
+        let resident = if state.dirty {
+            self.llc.mark_dirty(state.line)
+        } else {
+            self.llc.contains(state.line)
+        };
+        if resident {
             return;
         }
         if let Some(ev) = self.llc.fill(state) {

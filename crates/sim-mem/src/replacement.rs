@@ -384,12 +384,17 @@ pub struct FlatRepl {
     ways: usize,
     /// PLRU tree leaves (`ways.next_power_of_two().max(2)`).
     leaves: usize,
+    /// PLRU: per way, the tree nodes on the root-to-leaf path…
+    plru_path: Vec<u64>,
+    /// …and the values a touch of that way writes to them.
+    plru_cold: Vec<u64>,
     /// LRU: `sets × ways` logical timestamps.
     stamp: Vec<u64>,
     /// LRU: one logical clock per set.
     clock: Vec<u64>,
-    /// PLRU: `sets × (leaves − 1)` tree bits.
-    bits: Vec<bool>,
+    /// PLRU: one tree per set, node `n` in bit `n` (`true` points to the
+    /// right child as the colder half).
+    tree: Vec<u64>,
     /// SRRIP/Hawkeye: `sets × ways` re-reference prediction values.
     rrpv: Vec<u8>,
     /// Hawkeye: `sets × ways` cache-friendly bits.
@@ -400,15 +405,21 @@ pub struct FlatRepl {
 
 impl FlatRepl {
     /// Fresh state for `sets` sets of `ways` ways each.
+    ///
+    /// # Panics
+    /// Panics if a PLRU cache has more than 64 ways (its tree must fit one
+    /// word per set).
     pub fn new(kind: ReplKind, sets: usize, ways: usize) -> Self {
         let leaves = ways.next_power_of_two().max(2);
         let mut r = FlatRepl {
             kind,
             ways,
             leaves,
+            plru_path: Vec::new(),
+            plru_cold: Vec::new(),
             stamp: Vec::new(),
             clock: Vec::new(),
-            bits: Vec::new(),
+            tree: Vec::new(),
             rrpv: Vec::new(),
             friendly: Vec::new(),
             seed: Vec::new(),
@@ -418,7 +429,11 @@ impl FlatRepl {
                 r.stamp = vec![0; sets * ways];
                 r.clock = vec![0; sets];
             }
-            ReplKind::Plru => r.bits = vec![false; sets * (leaves - 1)],
+            ReplKind::Plru => {
+                assert!(leaves <= 64, "PLRU supports at most 64 ways");
+                r.tree = vec![0; sets];
+                (r.plru_path, r.plru_cold) = (0..ways).map(|w| plru_path(w, leaves)).unzip();
+            }
             ReplKind::Srrip => r.rrpv = vec![SRRIP_MAX; sets * ways],
             ReplKind::Hawkeye => {
                 r.rrpv = vec![SRRIP_MAX; sets * ways];
@@ -532,34 +547,20 @@ impl FlatRepl {
         self.stamp[set * self.ways + way] = self.clock[set];
     }
 
+    #[inline]
     fn plru_touch(&mut self, set: usize, way: usize) {
-        debug_assert!(way < self.ways);
-        let tree = set * (self.leaves - 1);
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.leaves;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if way < mid {
-                self.bits[tree + node] = true; // cold side is the right half
-                node = 2 * node + 1;
-                hi = mid;
-            } else {
-                self.bits[tree + node] = false;
-                node = 2 * node + 2;
-                lo = mid;
-            }
-        }
+        let t = &mut self.tree[set];
+        *t = (*t & !self.plru_path[way]) | self.plru_cold[way];
     }
 
     fn plru_victim(&self, set: usize, lo_way: usize, hi_way: usize) -> usize {
-        let tree = set * (self.leaves - 1);
+        let tree = self.tree[set];
         let mut node = 0usize;
         let mut lo = 0usize;
         let mut hi = self.leaves;
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
-            if self.bits[tree + node] {
+            if tree >> node & 1 == 1 {
                 node = 2 * node + 2;
                 lo = mid;
             } else {
@@ -585,12 +586,11 @@ impl FlatRepl {
                 stamp: self.stamp[base..base + self.ways].to_vec(),
                 clock: self.clock[set],
             },
-            ReplKind::Plru => {
-                let tree = set * (self.leaves - 1);
-                ReplSnapshot::Plru {
-                    bits: self.bits[tree..tree + self.leaves - 1].to_vec(),
-                }
-            }
+            ReplKind::Plru => ReplSnapshot::Plru {
+                bits: (0..self.leaves - 1)
+                    .map(|n| self.tree[set] >> n & 1 == 1)
+                    .collect(),
+            },
             ReplKind::Srrip => ReplSnapshot::Srrip {
                 rrpv: self.rrpv[base..base + self.ways].to_vec(),
             },
@@ -620,13 +620,15 @@ impl FlatRepl {
                 self.clock[set] = *clock;
             }
             (ReplKind::Plru, ReplSnapshot::Plru { bits }) => {
-                let tree = set * (self.leaves - 1);
                 assert_eq!(
                     bits.len(),
                     self.leaves - 1,
                     "PLRU snapshot geometry mismatch"
                 );
-                self.bits[tree..tree + self.leaves - 1].copy_from_slice(bits);
+                self.tree[set] = bits
+                    .iter()
+                    .enumerate()
+                    .fold(0, |t, (n, &b)| t | (b as u64) << n);
             }
             (ReplKind::Srrip, ReplSnapshot::Srrip { rrpv }) => {
                 assert_eq!(rrpv.len(), self.ways, "SRRIP snapshot geometry mismatch");
@@ -646,6 +648,30 @@ impl FlatRepl {
             (kind, snap) => panic!("replacement snapshot policy mismatch: {kind:?} vs {snap:?}"),
         }
     }
+}
+
+/// The PLRU tree nodes a touch of `way` rewrites, as `(path, cold)` masks
+/// over a tree of `leaves` leaves packed one node per bit: walking from
+/// the root to the leaf, each node on the path is pointed away from the
+/// half taken, so the tree points at the colder sibling.
+fn plru_path(way: usize, leaves: usize) -> (u64, u64) {
+    let (mut path, mut cold) = (0u64, 0u64);
+    let mut node = 0usize;
+    let mut lo = 0usize;
+    let mut hi = leaves;
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        path |= 1 << node;
+        if way < mid {
+            cold |= 1 << node; // cold side is the right half
+            node = 2 * node + 1;
+            hi = mid;
+        } else {
+            node = 2 * node + 2;
+            lo = mid;
+        }
+    }
+    (path, cold)
 }
 
 /// Deterministic pseudo-random replacement (xorshift64*).

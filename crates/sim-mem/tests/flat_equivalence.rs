@@ -152,10 +152,10 @@ fn flatmap_epoch_clear_matches_hashmap_across_generations() {
 // InflightTable vs insertion-ordered reference
 // ---------------------------------------------------------------------------
 
-/// The pre-flattening semantics: a map for lookups plus insertion order
-/// for the MSHR scan (the original used a `HashMap` and derived scan
-/// results order-independently; the dense table additionally *fixes* the
-/// order to insertion order, which this model mirrors).
+/// The pre-flattening semantics: a map for lookups plus insertion order,
+/// with the MSHR query answered by a linear sweep (`full_sweep`). The
+/// table keeps its entries ordered by ready cycle instead, so the two are
+/// compared on content and on every query's answer, not on order.
 #[derive(Default)]
 struct InflightRef {
     entries: Vec<(Line, u64)>,
@@ -180,6 +180,41 @@ impl InflightRef {
     fn retain_ready_after(&mut self, now: u64) {
         self.entries.retain(|&(_, ready)| ready > now);
     }
+
+    /// The MSHR query as the hierarchy used to compute it: one sweep over
+    /// every entry, counting the fills outstanding at `now` and keeping
+    /// the earliest ready cycle among them.
+    fn full_sweep(&self, now: u64) -> (usize, Option<u64>) {
+        let mut outstanding = 0usize;
+        let mut min_ready: Option<u64> = None;
+        for &(_, ready) in &self.entries {
+            if ready > now {
+                outstanding += 1;
+                min_ready = Some(min_ready.map_or(ready, |m| m.min(ready)));
+            }
+        }
+        (outstanding, min_ready)
+    }
+
+    /// Content sorted by line, for order-free comparison.
+    fn sorted(&self) -> Vec<(Line, u64)> {
+        let mut v = self.entries.clone();
+        v.sort_unstable();
+        v
+    }
+}
+
+/// The table's content sorted by line, checking on the way that its own
+/// iteration order is ascending by ready cycle.
+fn sorted_table(table: &InflightTable) -> Vec<(Line, u64)> {
+    let v: Vec<(Line, u64)> = table.iter().collect();
+    assert!(
+        v.windows(2).all(|w| (w[0].1, w[0].0) < (w[1].1, w[1].0)),
+        "iteration must ascend by (ready, line)"
+    );
+    let mut v = v;
+    v.sort_unstable();
+    v
 }
 
 #[test]
@@ -213,64 +248,89 @@ fn inflight_table_matches_reference_model() {
             }
             assert_eq!(table.len(), reference.entries.len());
         }
-        // The dense scan order the MSHR sweep sees must be the reference's
-        // insertion order exactly.
         assert_eq!(
-            table.entries(),
-            reference.entries.as_slice(),
-            "entry order diverged (seed {seed})"
+            sorted_table(&table),
+            reference.sorted(),
+            "content diverged (seed {seed})"
         );
     }
 }
 
-/// The hierarchy's MSHR-delay computation, replayed both ways: the full
-/// sweep over the in-flight entries, and the batched fast path that skips
-/// the sweep whenever `len() < mshrs` (outstanding fills are a subset of
-/// the table, so the length alone proves the delay is zero). The two must
-/// agree on every query of a random insert/purge/query stream.
+/// The MSHR query (`outstanding_after`: how many fills are outstanding at
+/// `now`, and the earliest ready cycle among them) against the linear
+/// sweep, under a clock that sometimes steps backwards — the simulator
+/// drains events out of timestamp order, so a query's `now` can be
+/// earlier than the previous query's or the previous purge's. New lines,
+/// overwrites of recorded lines (to earlier or later ready cycles, some
+/// already complete), purges and queries are mixed; every query must
+/// agree exactly, and so must the MSHR delay the hierarchy derives from
+/// it at several MSHR counts.
 #[test]
-fn mshr_delay_fast_path_matches_full_sweep() {
-    fn full_sweep(entries: &[(Line, u64)], now: u64, mshrs: usize) -> u64 {
-        let mut outstanding = 0usize;
-        let mut min_ready: Option<u64> = None;
-        for &(_, ready) in entries {
-            if ready > now {
-                outstanding += 1;
-                min_ready = Some(min_ready.map_or(ready, |m| m.min(ready)));
-            }
-        }
+fn mshr_query_matches_full_sweep_under_backward_clock() {
+    fn delay((outstanding, first): (usize, Option<u64>), now: u64, mshrs: usize) -> u64 {
         if outstanding < mshrs {
             0
         } else {
-            min_ready.map(|r| r.saturating_sub(now)).unwrap_or(0)
+            first.map_or(0, |r| r - now)
         }
     }
 
-    const MSHRS: usize = 16;
-    for seed in 0..4u64 {
+    for seed in 0..6u64 {
         let mut rng = Rng(0x0517 ^ seed);
         let mut table = InflightTable::new();
-        let mut now = 0u64;
+        let mut reference = InflightRef::default();
+        let mut base = 0u64;
+        let mut queries_under_pressure = 0u64;
         for step in 0..30_000u64 {
-            now += rng.below(3);
+            base += rng.below(3);
+            // Jittered clock: steps backwards about half the time.
+            let now = base + rng.below(8);
             match rng.below(100) {
-                0..=69 => table.insert(Line(rng.below(600)), now + rng.below(300)),
-                70..=79 => table.retain_ready_after(now),
+                0..=49 => {
+                    let line = Line(rng.below(600));
+                    let ready = now + rng.below(300);
+                    table.insert(line, ready);
+                    reference.insert(line, ready);
+                }
+                50..=59 => {
+                    // Overwrite a recorded line, sometimes to a ready cycle
+                    // at or before `now`.
+                    if !reference.entries.is_empty() {
+                        let i = rng.below(reference.entries.len() as u64) as usize;
+                        let line = reference.entries[i].0;
+                        let ready = (now + rng.below(300)).saturating_sub(40);
+                        table.insert(line, ready);
+                        reference.insert(line, ready);
+                    }
+                }
+                60..=69 => {
+                    table.retain_ready_after(now);
+                    reference.retain_ready_after(now);
+                }
                 _ => {
-                    let fast = if table.len() < MSHRS {
-                        0
-                    } else {
-                        full_sweep(table.entries(), now, MSHRS)
-                    };
+                    let got = table.outstanding_after(now);
+                    let want = reference.full_sweep(now);
                     assert_eq!(
-                        fast,
-                        full_sweep(table.entries(), now, MSHRS),
-                        "fast path diverged at step {step} (seed {seed}, len {})",
+                        got,
+                        want,
+                        "MSHR query diverged at step {step} (seed {seed}, now {now}, len {})",
                         table.len()
                     );
+                    for mshrs in [1, 16, 32] {
+                        assert_eq!(delay(got, now, mshrs), delay(want, now, mshrs));
+                    }
+                    if got.0 >= 16 {
+                        queries_under_pressure += 1;
+                    }
                 }
             }
+            assert_eq!(table.len(), reference.entries.len());
         }
+        assert_eq!(sorted_table(&table), reference.sorted(), "seed {seed}");
+        assert!(
+            queries_under_pressure > 100,
+            "stream never built MSHR pressure (seed {seed})"
+        );
     }
 }
 

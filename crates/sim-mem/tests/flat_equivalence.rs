@@ -207,12 +207,11 @@ impl InflightRef {
 /// The table's content sorted by line, checking on the way that its own
 /// iteration order is ascending by ready cycle.
 fn sorted_table(table: &InflightTable) -> Vec<(Line, u64)> {
-    let v: Vec<(Line, u64)> = table.iter().collect();
+    let mut v: Vec<(Line, u64)> = table.iter().collect();
     assert!(
         v.windows(2).all(|w| (w[0].1, w[0].0) < (w[1].1, w[1].0)),
         "iteration must ascend by (ready, line)"
     );
-    let mut v = v;
     v.sort_unstable();
     v
 }
